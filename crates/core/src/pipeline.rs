@@ -5,10 +5,12 @@
 //! hashed, diffed against the previous run's [`IngestManifest`] (empty on
 //! a cold build, so everything classifies as added), and only the
 //! chunk→embed→question slices the [`mcqa_ingest::ChangeSet`] touches are
-//! re-run. Unchanged slices replay from the previous output; stale index
-//! rows are tombstoned and fresh rows upserted in place. There is no
-//! second bookkeeping path: a full rebuild is the all-added degenerate
-//! case of the incremental plan.
+//! re-run. Unchanged slices replay from the previous output. The previous
+//! index registry is cloned structurally; in the clone, rows of changed
+//! documents and removed questions are tombstoned, questions whose dense
+//! id shifted are re-keyed in place, and only fresh rows are inserted.
+//! There is no second bookkeeping path: a full rebuild is the all-added
+//! degenerate case of the incremental plan.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -71,9 +73,11 @@ pub struct PipelineOutput {
     /// Per-mode trace embeddings in question-id order
     /// (`trace_vectors[mode-index][qid]`, mode index as in
     /// [`TraceMode::ALL`]). Trace text — and therefore its embedding —
-    /// depends only on question content, so an incremental re-run re-keys
-    /// a shifted question's store rows from these instead of re-encoding
-    /// three unchanged traces per shifted id.
+    /// depends only on question content, so the next incremental run
+    /// carries a replayed question's vectors over from here instead of
+    /// re-encoding them. Its store rows need none of them: a shifted
+    /// question is re-keyed in place ([`VectorStore::rekey`]), and only
+    /// freshly generated questions are embedded and inserted.
     pub trace_vectors: Vec<Vec<Vec<f32>>>,
     /// The paper's four vector databases behind one registry, all built
     /// with the backend `config.index` selects: [`CHUNKS_STORE`] keyed by
@@ -165,9 +169,14 @@ impl Pipeline {
 
     /// Incremental run: content-hash `library`, diff against `prev`'s
     /// manifest, and re-run only the slices the change set touches.
-    /// Unchanged chunks replay their memoized generation outcome; index
-    /// rows for removed/modified slices are tombstoned and fresh rows
-    /// upserted, compacting once tombstones exceed the threshold.
+    /// Unchanged chunks replay their memoized generation outcome. The
+    /// registry is a structural clone of `prev`'s, so its cost does not
+    /// grow with the store sizes beyond a memory copy. In it, rows of
+    /// removed/modified documents and of their questions are tombstoned;
+    /// replayed questions whose dense id shifted are re-keyed in place
+    /// rather than re-inserted; only fresh rows are added. Tombstones
+    /// persist across runs until a store's exceed a quarter of its live
+    /// rows, and only then is that store compacted.
     pub fn run_incremental(
         config: &PipelineConfig,
         prev: &PipelineOutput,
@@ -329,13 +338,10 @@ impl Pipeline {
         report.add(embed_metrics);
 
         // Chunk DB: cold build bulk-loads the configured backend; an
-        // incremental run decodes the previous registry, tombstones the
-        // rows of removed/modified documents, and appends the fresh ones.
-        let mut indexes = match prev {
-            None => IndexRegistry::new(),
-            Some(p) => IndexRegistry::from_bytes(&p.indexes.to_bytes())
-                .expect("a registry round-trips through its own serialisation"),
-        };
+        // incremental run clones the previous registry structurally
+        // (tombstones and all), tombstones the rows of removed/modified
+        // documents, and appends the fresh ones.
+        let mut indexes = prev.map_or_else(IndexRegistry::new, |p| (*p.indexes).clone());
         let dead_chunk_ids: Vec<u64> = prev
             .map(|p| {
                 p.chunks
@@ -579,16 +585,13 @@ impl Pipeline {
         }
 
         // Merge in chunk-id order — the acceptance order a cold build
-        // walks — renumbering question and trace ids densely. `identical`
-        // marks replayed questions whose id did not shift: their rows in
-        // the trace stores are already correct and stay untouched.
+        // walks — renumbering question and trace ids densely.
         let mut questions: Vec<QuestionRecord> = Vec::new();
         let mut items: Vec<McqItem> = Vec::new();
         let mut traces: Vec<TraceRecord> = Vec::new();
-        let mut identical: Vec<bool> = Vec::new();
         // `prev_qids[qid]` = the question's id in the previous run (None
-        // for freshly generated questions) — the key its reusable trace
-        // vectors live under in `prev.trace_vectors`.
+        // for freshly generated questions) — the key its trace-store rows
+        // and reusable trace vectors live under in `prev`.
         let mut prev_qids: Vec<Option<u64>> = Vec::new();
         for chunk in &chunks {
             let cid = chunk.chunk_id;
@@ -614,7 +617,6 @@ impl Pipeline {
             let qid = questions.len() as u64;
             record.question_id = qid;
             item.qid = qid;
-            identical.push(old_qid == Some(qid));
             prev_qids.push(old_qid);
             for (mi, text) in texts.into_iter().enumerate() {
                 traces.push(TraceRecord {
@@ -634,8 +636,8 @@ impl Pipeline {
         // Stage 7: embed the traces no previous vector exists for — all of
         // them on a cold build, only fresh questions' on an incremental
         // run. A replayed question's traces are verbatim replays, so even
-        // when its dense id shifted (forcing re-keyed store rows) the
-        // previous run's vectors are reused instead of re-encoded.
+        // when its dense id shifted the previous run's vectors are reused
+        // instead of re-encoded.
         let to_embed: Vec<usize> = traces
             .iter()
             .enumerate()
@@ -657,43 +659,46 @@ impl Pipeline {
         }
         report.add(trace_embed_metrics);
 
-        // Assemble, per mode: the rows whose store key must change
+        // Assemble, per mode: the fresh questions' rows to insert
         // (`mode_vectors`, ascending qid — the cold build's insertion
         // order) and the full vector table the next incremental run reuses
         // (`trace_vectors`).
         let mut mode_vectors: Vec<Vec<(u64, Vec<f32>)>> =
-            (0..trace_stride).map(|_| Vec::with_capacity(items.len())).collect();
+            (0..trace_stride).map(|_| Vec::new()).collect();
         let mut trace_vectors: Vec<Vec<Vec<f32>>> =
             (0..trace_stride).map(|_| Vec::with_capacity(items.len())).collect();
-        for qid in 0..items.len() as u64 {
-            let old = prev_qids[qid as usize];
+        for (qid, old) in prev_qids.iter().enumerate() {
             for mi in 0..trace_stride {
                 let v = match old {
                     Some(pq) => {
-                        prev.expect("replay implies prev").trace_vectors[mi][pq as usize].clone()
+                        prev.expect("replay implies prev").trace_vectors[mi][*pq as usize].clone()
                     }
-                    None => fresh_vecs.remove(&(mi, qid)).expect("fresh trace was embedded"),
+                    None => {
+                        let v = fresh_vecs.remove(&(mi, qid as u64)).expect("fresh trace embedded");
+                        mode_vectors[mi].push((qid as u64, v.clone()));
+                        v
+                    }
                 };
-                if old != Some(qid) {
-                    mode_vectors[mi].push((qid, v.clone()));
-                }
                 trace_vectors[mi].push(v);
             }
         }
 
-        // Previous-run question ids whose rows are stale: everything not
-        // replayed in place. Removed FIRST across every trace store, so a
-        // shifted id's old row can never mask its re-inserted one.
-        let dead_qids: Vec<u64> = prev
-            .map(|p| {
-                (0..p.items.len() as u64)
-                    .filter(|q| {
-                        let q = *q as usize;
-                        !(q < identical.len() && identical[q])
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        // The previous run's trace rows, per fate: questions no longer
+        // replayed are tombstoned (removed FIRST, so no stale row can
+        // collide with a re-keyed id), replayed questions whose dense id
+        // shifted are re-keyed old → new, and the rest stay untouched.
+        let mut replayed = vec![false; prev.map_or(0, |p| p.items.len())];
+        let mut shifted: HashMap<u64, u64> = HashMap::new();
+        for (qid, old) in prev_qids.iter().enumerate() {
+            if let Some(pq) = *old {
+                replayed[pq as usize] = true;
+                if pq != qid as u64 {
+                    shifted.insert(pq, qid as u64);
+                }
+            }
+        }
+        let gone_qids: Vec<u64> =
+            (0..replayed.len() as u64).filter(|q| !replayed[*q as usize]).collect();
 
         for (mode, vectors) in TraceMode::ALL.iter().zip(&mode_vectors) {
             let t = ScopeTimer::start("index-traces");
@@ -709,7 +714,8 @@ impl Pipeline {
                 indexes.insert(mode.db_name(), store);
             } else {
                 let store = indexes.expect_store_mut(mode.db_name());
-                census.tombstones_dense += store.remove(&dead_qids);
+                census.tombstones_dense += store.remove(&gone_qids);
+                store.rekey(&shifted);
                 store.add_batch(&exec, vectors);
                 if over_tombstone_threshold(store.tombstones(), store.len()) {
                     store.compact(&exec);
@@ -724,11 +730,12 @@ impl Pipeline {
             ));
 
             // BM25 sibling over the same traces, keyed by question id like
-            // the dense store, so both channels retrieve the same ids.
+            // the dense store, so both channels retrieve the same ids —
+            // and mutated the same way: only fresh traces are tokenised.
             let t = ScopeTimer::start("index-lex-traces");
             let pairs: Vec<(u64, &str)> = traces
                 .iter()
-                .filter(|tr| tr.mode == *mode && !identical[tr.question_id as usize])
+                .filter(|tr| tr.mode == *mode && prev_qids[tr.question_id as usize].is_none())
                 .map(|tr| (tr.question_id, tr.trace.as_str()))
                 .collect();
             let sibling = IndexRegistry::lexical_sibling(mode.db_name());
@@ -738,7 +745,8 @@ impl Pipeline {
                 indexes.insert_lexical(&sibling, lex);
             } else {
                 let lex = indexes.expect_lexical_mut(&sibling);
-                census.tombstones_lexical += lex.remove(&dead_qids);
+                census.tombstones_lexical += lex.remove(&gone_qids);
+                lex.rekey(&shifted);
                 lex.add_batch(&exec, &pairs);
                 if over_tombstone_threshold(lex.tombstones(), lex.len()) {
                     lex.compact();
@@ -1095,6 +1103,102 @@ mod tests {
                 full2.chunk_store().search(&q, 10),
                 "second-hop chunk search for {p:?}"
             );
+        }
+    }
+
+    #[test]
+    fn many_hop_incremental_carries_tombstones_to_the_threshold() {
+        // Tombstones persist across runs until a store crosses the
+        // threshold; each hop retires only the rows of changed documents
+        // and of the questions anchored in them (shifted ids are
+        // re-keyed, never tombstoned); and after many hops the artifacts
+        // and searches still equal a cold rebuild.
+        let base = tiny_output();
+        let mut owned: Option<PipelineOutput> = None;
+        let (mut crossing_hops, mut carried_hops) = (0, 0);
+        for hop in 0..6u64 {
+            let prev = owned.as_ref().unwrap_or(base);
+            let mut library = (*prev.library).clone();
+            let batch = EditBatch::synthetic(&library, 300 + hop, 20);
+            library.apply_edits(&prev.ontology, &batch);
+            let out = Pipeline::run_incremental(&prev.config, prev, Arc::new(library));
+
+            let changes = IngestManifest::diff(&prev.manifest, &out.manifest, CORPUS_SOURCE);
+            let dead_docs: HashSet<u64> =
+                changes.modified.iter().chain(&changes.removed).copied().collect();
+            let dead_chunks =
+                prev.chunks.iter().filter(|c| dead_docs.contains(&u64::from(c.doc.0))).count();
+            let gone = prev
+                .questions
+                .iter()
+                .filter(|q| dead_docs.contains(&u64::from(q.provenance.doc_id)))
+                .count();
+            let retired = dead_chunks + gone * TraceMode::ALL.len();
+            assert_eq!(out.ingest.tombstones_dense, retired, "hop {hop}: dense tombstones");
+            assert_eq!(out.ingest.tombstones_lexical, retired, "hop {hop}: lexical tombstones");
+
+            // A store compacts exactly when its carried plus new
+            // tombstones cross the threshold; otherwise it keeps them all.
+            let mut expected = 0;
+            let mut carried = false;
+            for name in out.indexes.names() {
+                let fresh = if name == CHUNKS_STORE { dead_chunks } else { gone };
+                let lex = IndexRegistry::lexical_sibling(name);
+                for (before, after, live) in [
+                    (
+                        prev.indexes.expect_store(name).tombstones(),
+                        out.indexes.expect_store(name).tombstones(),
+                        out.indexes.expect_store(name).len(),
+                    ),
+                    (
+                        prev.indexes.expect_lexical(&lex).tombstones(),
+                        out.indexes.expect_lexical(&lex).tombstones(),
+                        out.indexes.expect_lexical(&lex).len(),
+                    ),
+                ] {
+                    if over_tombstone_threshold(before + fresh, live) {
+                        expected += 1;
+                        assert_eq!(after, 0, "hop {hop}: {name} compacted");
+                    } else {
+                        assert_eq!(after, before + fresh, "hop {hop}: {name} carries tombstones");
+                        carried |= after > 0;
+                    }
+                }
+            }
+            assert_eq!(out.ingest.compactions, expected, "hop {hop}: compactions");
+            crossing_hops += usize::from(expected > 0);
+            carried_hops += usize::from(carried);
+            owned = Some(out);
+        }
+        assert!(crossing_hops > 0, "no hop crossed the compaction threshold");
+        assert!(carried_hops > 0, "no hop carried tombstones forward");
+
+        let last = owned.expect("ran at least one hop");
+        let full =
+            Pipeline::run_full(&last.config, Arc::clone(&last.ontology), Arc::clone(&last.library));
+        assert_eq!(last.chunks, full.chunks);
+        assert_eq!(last.questions, full.questions);
+        assert_eq!(last.items, full.items);
+        assert_eq!(last.traces, full.traces);
+        assert_eq!(last.manifest, full.manifest);
+        let probes = ["proton therapy dose", "gene expression pathway", "tumour margin imaging"];
+        let stems: Vec<&str> = last.items.iter().step_by(17).map(|i| i.stem.as_str()).collect();
+        for p in probes.iter().copied().chain(stems) {
+            let q = last.encoder.encode(p);
+            for name in last.indexes.names() {
+                assert_eq!(
+                    last.indexes.expect_store(name).search(&q, 10),
+                    full.indexes.expect_store(name).search(&q, 10),
+                    "{name} search for {p:?}"
+                );
+            }
+            for name in last.indexes.lexical_names() {
+                assert_eq!(
+                    last.indexes.expect_lexical(name).search(p, 10),
+                    full.indexes.expect_lexical(name).search(p, 10),
+                    "{name} search for {p:?}"
+                );
+            }
         }
     }
 }

@@ -122,6 +122,30 @@ impl EmbeddingMatrix {
         self.rows += rows.len();
     }
 
+    /// A new matrix of the rows at `positions`, in that order, copied in
+    /// their stored encoding together with their cached norms: no decode,
+    /// no re-quantisation. Byte-identical to pushing the same rows'
+    /// decoded values, because the F16 round trip is exact. Panics on an
+    /// out-of-range position.
+    pub fn select_rows(&self, positions: impl IntoIterator<Item = usize>) -> Self {
+        let mut out = Self::new(self.dim, self.precision);
+        let d = self.dim;
+        for i in positions {
+            assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
+            match self.precision {
+                Precision::F32 => {
+                    out.data_f32.extend_from_slice(&self.data_f32[i * d..(i + 1) * d])
+                }
+                Precision::F16 => {
+                    out.data_f16.extend_from_slice(&self.data_f16[i * d * 2..(i + 1) * d * 2])
+                }
+            }
+            out.sq_norms.push(self.sq_norms[i]);
+            out.rows += 1;
+        }
+        out
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows
@@ -496,6 +520,23 @@ mod tests {
             parallel.extend_parallel(exec, &rows);
             assert_eq!(parallel, serial, "{precision:?}");
             assert_eq!(parallel.to_bytes(), serial.to_bytes(), "byte-identical {precision:?}");
+        }
+    }
+
+    #[test]
+    fn select_rows_matches_pushing_the_decoded_rows() {
+        for precision in [Precision::F32, Precision::F16] {
+            let rows = sample_rows(11, 24);
+            let m = EmbeddingMatrix::from_rows(24, precision, &rows);
+            let picks = [7usize, 0, 3, 10, 3];
+            let selected = m.select_rows(picks);
+            let mut pushed = EmbeddingMatrix::new(24, precision);
+            for &i in &picks {
+                pushed.push(&m.row(i).unwrap());
+            }
+            assert_eq!(selected, pushed, "{precision:?}");
+            assert_eq!(selected.to_bytes(), pushed.to_bytes(), "byte-identical {precision:?}");
+            assert!(m.select_rows([]).is_empty());
         }
     }
 

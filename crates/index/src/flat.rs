@@ -14,6 +14,8 @@
 //! with [`Metric::score`] and fully sorting (the property suite in
 //! `tests/kernel.rs` holds every path to that oracle).
 
+use std::collections::HashMap;
+
 use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::kernel;
@@ -83,18 +85,21 @@ impl FlatIndex {
         &self.cache
     }
 
-    /// A tombstone-free copy: live rows re-encoded in position order. The
-    /// F16 round-trip (decode → re-encode) is exact, so the copy scores
-    /// (and serialises) identically to a cold build over the live rows.
+    /// A tombstone-free copy: the live rows' stored bytes and cached norms
+    /// copied in position order (no decode, no re-quantisation), so the
+    /// copy scores — and serialises — byte-identically to a cold build
+    /// over the live rows.
     fn live_clone(&self) -> Self {
-        let mut out = Self::new(self.matrix.dim(), self.metric, self.matrix.precision());
-        out.cache = self.cache.clone(); // cold, but keeps the budget policy
-        for (i, &id) in self.ids.iter().enumerate() {
-            if !self.dead[i] {
-                out.add(id, &self.matrix.row(i).expect("row in range"));
-            }
+        let live = (0..self.ids.len()).filter(|&i| !self.dead[i]);
+        let ids: Vec<u64> = live.clone().map(|i| self.ids[i]).collect();
+        Self {
+            matrix: self.matrix.select_rows(live),
+            dead: vec![false; ids.len()],
+            ids,
+            metric: self.metric,
+            dead_count: 0,
+            cache: self.cache.clone(), // cold, but keeps the budget policy
         }
-        out
     }
 
     /// The external id stored at `position` (insertion order). Panics out
@@ -233,6 +238,15 @@ impl VectorStore for FlatIndex {
         }
         self.dead_count += newly;
         newly
+    }
+
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        // Ids live beside the matrix, so resident panels stay valid.
+        crate::rekey_live(self.ids.iter_mut().zip(&self.dead), map)
+    }
+
+    fn clone_box(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn tombstones(&self) -> usize {

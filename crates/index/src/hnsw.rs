@@ -18,12 +18,14 @@
 //! HNSW edges depend on insertion history. This is the documented
 //! exception to the mutation surface's rebuild-equivalence contract
 //! (see [`VectorStore::upsert`]); recall properties are unaffected.
+//! [`VectorStore::rekey`] relabels nodes without touching the graph, so a
+//! re-keyed index finds the same hits, ranked under their new ids.
 
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::codec::{encode_metric, put_f32s, put_u32, put_u64, ReadMetricExt, Reader};
 use crate::metric::Metric;
@@ -54,6 +56,7 @@ impl Default for HnswConfig {
     }
 }
 
+#[derive(Clone)]
 struct Node {
     id: u64,
     vector: Vec<f32>,
@@ -62,6 +65,7 @@ struct Node {
 }
 
 /// The HNSW index.
+#[derive(Clone)]
 pub struct HnswIndex {
     config: HnswConfig,
     dim: usize,
@@ -424,6 +428,16 @@ impl VectorStore for HnswIndex {
         }
         self.dead_count += removed;
         removed
+    }
+
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        // Relabels nodes only: the graph keeps the levels drawn from the
+        // ids at insertion (a compaction rebuild redraws them).
+        crate::rekey_live(self.nodes.iter_mut().map(|n| &mut n.id).zip(&self.dead), map)
+    }
+
+    fn clone_box(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn tombstones(&self) -> usize {

@@ -15,6 +15,8 @@
 //! format is unchanged from the per-entry layout: packing is an in-memory
 //! choice only.
 
+use std::collections::HashMap;
+
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::kernel;
 use serde::{Deserialize, Serialize};
@@ -238,6 +240,16 @@ impl VectorStore for IvfIndex {
         }
         self.dead_count += newly;
         newly
+    }
+
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        // Lists hold rows by centroid, not by id: relabelling moves
+        // nothing and leaves every row in place.
+        self.lists.iter_mut().map(|l| crate::rekey_live(l.ids.iter_mut().zip(&l.dead), map)).sum()
+    }
+
+    fn clone_box(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn tombstones(&self) -> usize {

@@ -11,6 +11,7 @@
 //! decode, so a service can report capacity and route requests before it
 //! has paid for a single row.
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use mcqa_embed::PanelBudget;
@@ -234,6 +235,24 @@ impl VectorStore for LazyStore {
 
     fn upsert(&mut self, exec: &Executor, items: &[(u64, Vec<f32>)]) {
         self.force_mut().upsert(exec, items);
+    }
+
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        self.force_mut().rekey(map)
+    }
+
+    fn clone_box(&self) -> Box<dyn VectorStore> {
+        // Undecoded: copy the raw bytes and stay lazy. Decoded: clone the
+        // live structure (the retained bytes may predate its mutations).
+        let inner = OnceLock::new();
+        let bytes = match self.inner.get() {
+            Some(store) => {
+                let _ = inner.set(store.clone_box());
+                Vec::new()
+            }
+            None => self.bytes.clone(),
+        };
+        Box::new(Self { header: self.header.clone(), bytes, budget: self.budget, inner })
     }
 
     fn tombstones(&self) -> usize {

@@ -29,8 +29,10 @@
 //! [`VectorStore::add_batch`] (parallel build on a caller-supplied
 //! [`Executor`]), [`VectorStore::search`] / [`VectorStore::search_batch`],
 //! the incremental-ingest mutation surface — [`VectorStore::remove`]
-//! (tombstones), [`VectorStore::upsert`], and [`VectorStore::compact`]
-//! (rewrites the storage once tombstones accumulate) — and
+//! (tombstones), [`VectorStore::upsert`], [`VectorStore::rekey`]
+//! (relabels live rows in place), [`VectorStore::compact`] (rewrites the
+//! storage once tombstones accumulate) and [`VectorStore::clone_box`]
+//! (a structural deep copy that keeps the tombstones) — and
 //! [`VectorStore::to_bytes`] persistence (decoded back through
 //! [`decode_store`], which dispatches on each format's magic tag; the
 //! wire formats are always tombstone-free, serialising the live view).
@@ -69,6 +71,8 @@ pub use metric::Metric;
 pub use pq::{PqConfig, PqIndex, ResidualCodec};
 pub use registry::IndexRegistry;
 pub use spec::{build_store, build_store_from_vectors, decode_store, IndexSpec};
+
+use std::collections::HashMap;
 
 use mcqa_runtime::{run_stage_batched, Executor};
 
@@ -138,10 +142,31 @@ pub trait VectorStore: Send + Sync {
     /// Tombstone the rows stored under `ids`: they stop appearing in
     /// search results immediately, while the backing storage is only
     /// rewritten at the next [`VectorStore::compact`] (or serialisation,
-    /// which always writes the tombstone-free live view). Ids not present
-    /// (or already tombstoned) are ignored. Returns the number of rows
-    /// newly tombstoned.
+    /// which always writes the tombstone-free live view). Tombstones are
+    /// never cleared implicitly: a store cloned with
+    /// [`VectorStore::clone_box`] carries them along, so an incremental
+    /// pipeline accumulates them across runs until its compaction
+    /// threshold says otherwise. Ids not present (or already tombstoned)
+    /// are ignored. Returns the number of rows newly tombstoned.
     fn remove(&mut self, ids: &[u64]) -> usize;
+
+    /// Re-key live rows in place: every live row stored under an `old`
+    /// key of `map` is relabelled `map[old]`, all at once (so `{1→2,
+    /// 2→1}` swaps two rows). Vectors, codes, graph edges and the panel
+    /// cache are untouched — this is how the incremental pipeline moves a
+    /// question whose dense id shifted, instead of tombstoning and
+    /// re-inserting its row. Tombstoned rows and ids absent from `map`
+    /// keep their keys; the caller keeps live ids unique. Scores do not
+    /// depend on ids and top-k breaks ties by (score, id), so afterwards
+    /// flat search is bit-identical to a cold build over the re-keyed live
+    /// rows, and IVF/PQ search to one reusing the same trained structure.
+    /// Returns the number of rows re-keyed.
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize;
+
+    /// An independent deep copy behind a fresh box — the structural clone
+    /// an incremental run mutates while the previous output stays intact.
+    /// Tombstones carry over; resident panel caches start cold.
+    fn clone_box(&self) -> Box<dyn VectorStore>;
 
     /// Replace-or-insert: tombstone any existing rows under the item ids,
     /// then bulk-insert the new vectors through
@@ -162,7 +187,9 @@ pub trait VectorStore: Send + Sync {
     }
 
     /// Rewrite the backing storage without its tombstoned rows (a no-op
-    /// when nothing is tombstoned). Trained coarse structure — IVF/PQ
+    /// when nothing is tombstoned). Nothing compacts implicitly — the
+    /// caller decides when (the pipeline waits until tombstones exceed a
+    /// quarter of the live rows). Trained coarse structure — IVF/PQ
     /// centroids and codebooks — is preserved, so post-compaction search
     /// is bit-identical to pre-compaction search; HNSW instead rebuilds
     /// its graph from the live rows in insertion order (see
@@ -203,4 +230,20 @@ pub trait VectorStore: Send + Sync {
     /// Serialise the store (self-describing: a 4-byte magic tag selects
     /// the decoder in [`decode_store`]).
     fn to_bytes(&self) -> Vec<u8>;
+}
+
+/// The shared body of every backend's [`VectorStore::rekey`]: relabel
+/// the live entries of parallel `(id, tombstone)` columns through `map`.
+pub(crate) fn rekey_live<'a>(
+    rows: impl Iterator<Item = (&'a mut u64, &'a bool)>,
+    map: &HashMap<u64, u64>,
+) -> usize {
+    let mut rekeyed = 0;
+    for (id, &dead) in rows {
+        if let (false, Some(&to)) = (dead, map.get(id)) {
+            *id = to;
+            rekeyed += 1;
+        }
+    }
+    rekeyed
 }

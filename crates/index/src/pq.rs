@@ -21,6 +21,8 @@
 //! (`PQIV`); inverted-list ids are delta + zigzag varint coded, so the
 //! serialized store stays close to `bits/8` bytes per dimension.
 
+use std::collections::HashMap;
+
 use mcqa_embed::{PanelBudget, PanelCache};
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::kernel;
@@ -597,6 +599,16 @@ impl VectorStore for PqIndex {
         }
         self.dead_count += removed;
         removed
+    }
+
+    fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        // Lists hold rows by centroid, not by id: relabelling moves
+        // nothing and leaves every code (and resident panel) in place.
+        self.lists.iter_mut().map(|l| crate::rekey_live(l.ids.iter_mut().zip(&l.dead), map)).sum()
+    }
+
+    fn clone_box(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn tombstones(&self) -> usize {

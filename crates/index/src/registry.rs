@@ -24,7 +24,8 @@ use crate::{decode_store, SearchResult, VectorStore};
 
 /// A lexical sibling slot: either an already-decoded index or its raw
 /// `LEXI` bytes, decoded once on first touch (the lexical mirror of
-/// [`crate::lazy::LazyStore`]).
+/// [`crate::lazy::LazyStore`]). A clone copies whichever form it holds.
+#[derive(Clone)]
 struct LexicalSlot {
     /// Raw serialised bytes when opened lazily; empty for eager slots.
     bytes: Vec<u8>,
@@ -76,6 +77,20 @@ impl LexicalSlot {
 pub struct IndexRegistry {
     stores: BTreeMap<String, Box<dyn VectorStore>>,
     lexical: BTreeMap<String, LexicalSlot>,
+}
+
+/// A structural deep copy: every store through
+/// [`VectorStore::clone_box`], every lexical sibling by value. Tombstones
+/// carry over, so an incremental run that mutates the copy keeps
+/// accumulating them until its compaction threshold; no store is decoded
+/// or re-encoded along the way.
+impl Clone for IndexRegistry {
+    fn clone(&self) -> Self {
+        Self {
+            stores: self.stores.iter().map(|(n, s)| (n.clone(), s.clone_box())).collect(),
+            lexical: self.lexical.clone(),
+        }
+    }
 }
 
 impl IndexRegistry {

@@ -1,7 +1,9 @@
 //! Property tests for the mutation surface the incremental planner
-//! drives: random edit sequences (upsert / remove / compact) over every
-//! mutable index family must leave search results identical to an index
-//! holding only the final live set.
+//! drives: random edit sequences (upsert / remove / compact / rekey) over
+//! every mutable index family must leave search results identical to an
+//! index holding only the final live set, and a structural clone
+//! (`clone_box`, `LexicalIndex::clone`) must be independent of its
+//! original.
 //!
 //! The reference differs per family, matching the determinism contract:
 //!
@@ -13,10 +15,12 @@
 //!   trained coarse structure. A from-scratch rebuild would retrain
 //!   k-means on the edited collection and legitimately rank differently.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mcqa_embed::Precision;
-use mcqa_index::{build_store_from_vectors, decode_store, IndexSpec, Metric};
+use mcqa_index::{
+    build_store_from_vectors, decode_store, IndexSpec, LazyStore, Metric, VectorStore,
+};
 use mcqa_ingest::{ContentHash, IngestManifest};
 use mcqa_lexical::{Bm25Params, LexicalIndex};
 use mcqa_runtime::Executor;
@@ -61,26 +65,66 @@ fn text(rng: &KeyedStochastic, tag: &str, id: u64) -> String {
 
 /// The shared edit-sequence shape: at step `s`, op 0 = upsert a small
 /// batch (half fresh ids, half overwrites), op 1 = remove a prefix of the
-/// live set (possibly all of it), op 2 = compact.
+/// live set (possibly all of it), op 2 = compact, op 3 = rekey (see
+/// [`rekey_map`]).
 fn op_at(rng: &KeyedStochastic, s: usize) -> usize {
-    rng.below(3, &["op", &s.to_string()])
+    rng.below(4, &["op", &s.to_string()])
+}
+
+/// A random re-keying of the live ids `live`, as the incremental planner
+/// produces it: a random subset is permuted among itself, and some of its
+/// members move to fresh ids past `next_id` (which advances). Live ids stay
+/// unique afterwards. Returns the old → new map.
+fn rekey_map(
+    rng: &KeyedStochastic,
+    st: &str,
+    live: &[u64],
+    next_id: &mut u64,
+) -> HashMap<u64, u64> {
+    let picked: Vec<u64> = live
+        .iter()
+        .copied()
+        .filter(|id| rng.bernoulli(0.5, &["rk", st, &id.to_string()]))
+        .collect();
+    let mut targets = picked.clone();
+    targets.sort_by_key(|id| rng.raw(&["rk-to", st, &id.to_string()]));
+    for t in &mut targets {
+        if rng.bernoulli(0.3, &["rk-fresh", st, &t.to_string()]) {
+            *next_id += 1;
+            *t = *next_id;
+        }
+    }
+    picked.into_iter().zip(targets).collect()
+}
+
+/// Apply `map` to a live-set model, all keys at once.
+fn rekey_model<V>(live: &mut BTreeMap<u64, V>, map: &HashMap<u64, u64>) {
+    let moved: Vec<(u64, V)> = map
+        .iter()
+        .map(|(old, new)| (*new, live.remove(old).expect("rekeyed id is live")))
+        .collect();
+    live.extend(moved);
 }
 
 proptest! {
     /// Dense stores: after any edit sequence, the mutated store's search
     /// equals a decode of its own serialised live view — and on flat, a
-    /// genuine from-scratch rebuild over the live set, bit for bit.
+    /// genuine from-scratch rebuild over the live set, bit for bit, with
+    /// the serialised live view byte-identical to a cold build over the
+    /// live rows in storage order.
     #[test]
     fn dense_mutation_matches_rebuild(
         seed in 0u64..24,
         spec_pick in 0usize..3,
         workers_pick in 0usize..2,
+        precision_pick in 0usize..2,
     ) {
         let spec = match spec_pick {
             0 => IndexSpec::Flat,
             1 => IndexSpec::Ivf(Default::default()),
             _ => IndexSpec::Pq(Default::default()),
         };
+        let precision = [Precision::F32, Precision::F16][precision_pick];
         let exec = Executor::new([1, 4][workers_pick]);
         let rng = KeyedStochastic::new(seed ^ 0x317A_B00C);
 
@@ -89,7 +133,10 @@ proptest! {
             (0..n0).map(|id| (id, vector(&rng, "init", id))).collect();
         let items: Vec<(u64, Vec<f32>)> = live.iter().map(|(k, v)| (*k, v.clone())).collect();
         let mut store =
-            build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F32, &exec, &items);
+            build_store_from_vectors(&spec, DIM, Metric::Cosine, precision, &exec, &items);
+        // Flat's storage-order model: (id, vector, tombstoned) per row.
+        let mut rows: Vec<(u64, Vec<f32>, bool)> =
+            items.iter().map(|(id, v)| (*id, v.clone(), false)).collect();
 
         let steps = 1 + rng.below(12, &["steps"]);
         let mut next_id = n0;
@@ -110,6 +157,10 @@ proptest! {
                         batch.insert(id, vector(&rng, &jt, id));
                     }
                     let batch: Vec<(u64, Vec<f32>)> = batch.into_iter().collect();
+                    for row in rows.iter_mut().filter(|r| batch.iter().any(|(id, _)| *id == r.0)) {
+                        row.2 = true;
+                    }
+                    rows.extend(batch.iter().map(|(id, v)| (*id, v.clone(), false)));
                     live.extend(batch.iter().cloned());
                     store.upsert(&exec, &batch);
                 }
@@ -119,9 +170,27 @@ proptest! {
                     for id in &ids {
                         live.remove(id);
                     }
+                    for row in rows.iter_mut().filter(|r| ids.contains(&r.0)) {
+                        row.2 = true;
+                    }
                     prop_assert_eq!(store.remove(&ids), ids.len());
                 }
-                _ => store.compact(&exec),
+                2 => {
+                    rows.retain(|r| !r.2);
+                    store.compact(&exec);
+                    prop_assert_eq!(store.tombstones(), 0);
+                }
+                _ => {
+                    let ids: Vec<u64> = live.keys().copied().collect();
+                    let map = rekey_map(&rng, &st, &ids, &mut next_id);
+                    rekey_model(&mut live, &map);
+                    for row in rows.iter_mut().filter(|r| !r.2) {
+                        row.0 = map.get(&row.0).copied().unwrap_or(row.0);
+                    }
+                    let tombstones = store.tombstones();
+                    prop_assert_eq!(store.rekey(&map), map.len());
+                    prop_assert_eq!(store.tombstones(), tombstones, "rekey never tombstones");
+                }
             }
         }
 
@@ -136,18 +205,24 @@ proptest! {
         }
         if matches!(spec, IndexSpec::Flat) {
             let items: Vec<(u64, Vec<f32>)> = live.iter().map(|(k, v)| (*k, v.clone())).collect();
-            let cold =
-                build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F32, &exec, &items);
+            let cold = build_store_from_vectors(&spec, DIM, Metric::Cosine, precision, &exec, &items);
             for q in &queries {
                 prop_assert_eq!(store.search(q, 10), cold.search(q, 10));
             }
+            let in_order: Vec<(u64, Vec<f32>)> =
+                rows.iter().filter(|r| !r.2).map(|r| (r.0, r.1.clone())).collect();
+            let cold =
+                build_store_from_vectors(&spec, DIM, Metric::Cosine, precision, &exec, &in_order);
+            prop_assert_eq!(store.to_bytes(), cold.to_bytes(), "live view = cold build");
+            store.compact(&exec);
+            prop_assert_eq!(store.to_bytes(), cold.to_bytes(), "compaction = cold build");
         }
     }
 
     /// The lexical index: any edit sequence is bit-identical to a cold
     /// BM25 rebuild over the final live set — document frequencies,
     /// lengths, and the corpus average all correct themselves as
-    /// tombstones accrue.
+    /// tombstones accrue, and re-keyed documents rank under their new ids.
     #[test]
     fn lexical_mutation_matches_rebuild(seed in 0u64..32, workers_pick in 0usize..2) {
         let exec = Executor::new([1, 4][workers_pick]);
@@ -190,7 +265,13 @@ proptest! {
                     }
                     prop_assert_eq!(index.remove(&ids), ids.len());
                 }
-                _ => index.compact(),
+                2 => index.compact(),
+                _ => {
+                    let ids: Vec<u64> = live.keys().copied().collect();
+                    let map = rekey_map(&rng, &st, &ids, &mut next_id);
+                    rekey_model(&mut live, &map);
+                    prop_assert_eq!(index.rekey(&map), map.len());
+                }
             }
         }
 
@@ -296,4 +377,107 @@ fn upsert_same_content_preserves_search() {
     assert_eq!(lex.search("gene pathway", 10), before);
     lex.compact();
     assert_eq!(lex.search("gene pathway", 10), before);
+}
+
+/// A structural clone is a deep copy: it carries the original's
+/// tombstones and searches identically, and mutating it (remove, rekey,
+/// upsert, compact) leaves the original's searches, tombstones and bytes
+/// untouched — on every backend, and on a lazily opened store both before
+/// and after its body is decoded.
+#[test]
+fn clone_box_is_independent_of_its_original() {
+    let exec = Executor::new(2);
+    let rng = KeyedStochastic::new(4242);
+    let items: Vec<(u64, Vec<f32>)> = (0..40).map(|id| (id, vector(&rng, "cl", id))).collect();
+    let queries: Vec<Vec<f32>> = (0..4).map(|q| vector(&rng, "cl-q", q)).collect();
+    let fresh: Vec<(u64, Vec<f32>)> =
+        (0..6).map(|id| (id * 3, vector(&rng, "cl-new", id))).collect();
+    let rekey: HashMap<u64, u64> = [(10, 11), (11, 10), (12, 900)].into_iter().collect();
+
+    let mut originals: Vec<(String, Box<dyn VectorStore>)> = Vec::new();
+    for spec in IndexSpec::all_defaults() {
+        let mut store =
+            build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F16, &exec, &items);
+        store.remove(&[1, 2, 3]);
+        originals.push((spec.label().to_string(), store));
+    }
+    let flat = build_store_from_vectors(
+        &IndexSpec::Flat,
+        DIM,
+        Metric::Cosine,
+        Precision::F16,
+        &exec,
+        &items,
+    );
+    originals.push(("lazy-undecoded".into(), Box::new(LazyStore::open(flat.to_bytes()).unwrap())));
+    let decoded = LazyStore::open(flat.to_bytes()).unwrap();
+    decoded.search(&queries[0], 1);
+    assert!(decoded.is_decoded());
+    originals.push(("lazy-decoded".into(), Box::new(decoded)));
+
+    for (label, original) in &originals {
+        let bytes = original.to_bytes();
+        let searches: Vec<_> = queries.iter().map(|q| original.search(q, 8)).collect();
+        let tombstones = original.tombstones();
+
+        let mut copy = original.clone_box();
+        assert_eq!(copy.tombstones(), tombstones, "{label}: tombstones carry over");
+        assert_eq!(copy.len(), original.len(), "{label}");
+        assert_eq!(copy.to_bytes(), bytes, "{label}");
+        for (q, hits) in queries.iter().zip(&searches) {
+            assert_eq!(&copy.search(q, 8), hits, "{label}: the clone searches identically");
+        }
+
+        copy.remove(&[0, 4, 5]);
+        assert_eq!(copy.rekey(&rekey), 3, "{label}");
+        copy.upsert(&exec, &fresh);
+        copy.compact(&exec);
+        assert_ne!(copy.to_bytes(), bytes, "{label}: the clone did change");
+
+        assert_eq!(original.to_bytes(), bytes, "{label}: original bytes untouched");
+        assert_eq!(original.tombstones(), tombstones, "{label}");
+        for (q, hits) in queries.iter().zip(&searches) {
+            assert_eq!(&original.search(q, 8), hits, "{label}: original searches untouched");
+        }
+    }
+}
+
+/// Every re-keyed backend finds the hits it found before, ranked under
+/// their new ids — HNSW included, whose graph keeps the shape it was
+/// built with.
+#[test]
+fn rekey_relabels_hits_on_every_backend() {
+    let exec = Executor::new(2);
+    let rng = KeyedStochastic::new(515);
+    let items: Vec<(u64, Vec<f32>)> = (0..48).map(|id| (id, vector(&rng, "rk", id))).collect();
+    let map: HashMap<u64, u64> =
+        (0..48).filter(|id| id % 3 == 0).map(|id| (id, id + 1000)).collect();
+    for spec in IndexSpec::all_defaults() {
+        let mut store =
+            build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F32, &exec, &items);
+        store.remove(&[3]);
+        let before: Vec<_> = (0..5).map(|q| store.search(&vector(&rng, "rk-q", q), 10)).collect();
+        assert_eq!(
+            store.rekey(&map),
+            map.len() - 1,
+            "{}: tombstoned rows keep their keys",
+            spec.label()
+        );
+        for (q, hits) in before.into_iter().enumerate() {
+            let mut expect: Vec<_> = hits
+                .into_iter()
+                .map(|mut h| {
+                    h.id = map.get(&h.id).copied().unwrap_or(h.id);
+                    h
+                })
+                .collect();
+            mcqa_util::hits::sort_hits(&mut expect);
+            assert_eq!(
+                store.search(&vector(&rng, "rk-q", q as u64), 10),
+                expect,
+                "{}",
+                spec.label()
+            );
+        }
+    }
 }

@@ -23,9 +23,11 @@
 //! [`LexicalIndex::remove`] tombstones documents by external id — their
 //! postings stay resident but are skipped, with `n`, `avgdl`, and each
 //! term's `df` corrected to the live view so scores match a live-only
-//! rebuild. [`LexicalIndex::compact`] (and serialisation, whose `LEXI`
-//! wire format is always tombstone-free) rewrites postings without the
-//! dead documents.
+//! rebuild. Tombstones persist — through `Clone` too — until
+//! [`LexicalIndex::compact`] (or serialisation, whose `LEXI` wire format
+//! is always tombstone-free) rewrites postings without the dead
+//! documents; the caller decides when. [`LexicalIndex::rekey`] relabels
+//! live documents in place without re-tokenising them.
 
 use std::collections::HashMap;
 
@@ -204,6 +206,27 @@ impl LexicalIndex {
         self.dead_count += removed;
         self.dead_tokens += removed_tokens;
         removed
+    }
+
+    /// Re-key live documents in place: every live document stored under
+    /// an `old` key of `map` is relabelled `map[old]`, all at once.
+    /// Postings, lengths and the vocabulary are untouched — no text is
+    /// re-tokenised — which is how the incremental pipeline moves a
+    /// question whose dense id shifted instead of tombstoning and
+    /// re-adding its trace. Tombstoned documents and ids absent from
+    /// `map` keep their keys; the caller keeps live ids unique. Scores
+    /// never depend on ids and ties break by (score, id), so afterwards
+    /// search is bit-identical to a cold build over the re-keyed live
+    /// documents. Returns the number of documents re-keyed.
+    pub fn rekey(&mut self, map: &HashMap<u64, u64>) -> usize {
+        let mut rekeyed = 0;
+        for (d, &dead) in self.docs.iter_mut().zip(&self.dead) {
+            if let (false, Some(&to)) = (dead, map.get(&d.id)) {
+                d.id = to;
+                rekeyed += 1;
+            }
+        }
+        rekeyed
     }
 
     /// Replace-or-insert: tombstone any existing documents under the item

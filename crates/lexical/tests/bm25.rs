@@ -11,6 +11,11 @@
 //! * **Degenerate totality** — empty queries, all-stopword queries,
 //!   `k = 0`, `k > len`, and empty indexes all return cleanly, and top-k
 //!   lists are prefixes of deeper searches.
+//! * **Rekey and clone** — re-keying live documents searches
+//!   bit-identically to a cold build over the re-keyed live set, and a
+//!   clone mutates without touching its original.
+
+use std::collections::{BTreeMap, HashMap};
 
 use mcqa_lexical::fusion::rrf;
 use mcqa_lexical::LexicalIndex;
@@ -157,5 +162,58 @@ proptest! {
         prop_assert!(deep.len() <= n, "k > len returns at most the matching docs");
         let top = idx.search(&q, k);
         prop_assert_eq!(&top[..], &deep[..k.min(deep.len())], "top-k is a prefix of top-all");
+    }
+
+    /// `rekey` relabels live documents without re-tokenising them: after
+    /// tombstoning some documents and re-keying others (a permutation
+    /// among themselves plus moves to fresh ids), search is bit-identical
+    /// to a cold build over the final live set. The re-keyed index is a
+    /// clone, so its original must still answer as before, bytes and all.
+    #[test]
+    fn rekey_matches_cold_build_and_leaves_the_clone_source_alone(
+        n in 2usize..24,
+        seed in 0u64..1000,
+        k in 1usize..10,
+    ) {
+        let docs = corpus(n, seed);
+        let mut original = build(&docs);
+        let mut live: BTreeMap<u64, String> = docs.iter().cloned().collect();
+        let dead: Vec<u64> =
+            docs.iter().map(|(id, _)| *id).filter(|id| splitmix(seed ^ id).is_multiple_of(4)).collect();
+        original.remove(&dead);
+        for id in &dead {
+            live.remove(id);
+        }
+        let bytes = original.to_bytes();
+        let queries: Vec<String> = (0..6u64).map(|i| doc(seed ^ 0x5eed ^ (i * 0x2545))).collect();
+        let before: Vec<_> = queries.iter().map(|q| original.search(q, k)).collect();
+
+        // Odd-ranked live ids rotate among themselves; every fourth moves
+        // to a fresh id past the corpus.
+        let picked: Vec<u64> = live.keys().copied().skip(1).step_by(2).collect();
+        let mut map: HashMap<u64, u64> = HashMap::new();
+        for (i, id) in picked.iter().enumerate() {
+            let to = if i % 4 == 3 { 10_000 + id } else { picked[(i + 1) % picked.len()] };
+            map.insert(*id, to);
+        }
+        let mut rekeyed = original.clone();
+        prop_assert_eq!(rekeyed.rekey(&map), map.len());
+        let moved: Vec<(u64, String)> =
+            map.iter().map(|(old, new)| (*new, live[old].clone())).collect();
+        for old in map.keys() {
+            live.remove(old);
+        }
+        live.extend(moved);
+        let cold = build(&live.into_iter().collect::<Vec<_>>());
+        for q in &queries {
+            prop_assert_eq!(rekeyed.search(q, k), cold.search(q, k), "query {:?}", q);
+        }
+        rekeyed.compact();
+        prop_assert_eq!(rekeyed.search(&queries[0], k), cold.search(&queries[0], k));
+
+        prop_assert_eq!(original.to_bytes(), bytes, "the clone source is untouched");
+        for (q, hits) in queries.iter().zip(&before) {
+            prop_assert_eq!(&original.search(q, k), hits, "query {:?}", q);
+        }
     }
 }

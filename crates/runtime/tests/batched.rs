@@ -70,15 +70,18 @@ fn mid_batch_panic_isolates_to_that_item_only() {
 }
 
 /// Batch sizes far larger than the item count degenerate to a single task
-/// without losing items or order.
+/// without losing items or order. The task count is read off a pool of
+/// the test's own: the shared one also runs the other tests of this
+/// binary, whose tasks would land in the same counter.
 #[test]
 fn oversized_batch_is_one_task() {
-    let before = exec().stats().total_executed();
+    let exec = Executor::new(2);
+    let before = exec.stats().total_executed();
     let (results, metrics) =
-        run_stage_batched(exec(), "one-task", (0..10u64).collect(), 1_000_000, |x| {
+        run_stage_batched(&exec, "one-task", (0..10u64).collect(), 1_000_000, |x| {
             Ok::<u64, String>(x)
         });
     assert_eq!(metrics.ok, 10);
-    assert_eq!(results.len(), 10);
-    assert_eq!(exec().stats().total_executed(), before + 1, "all items in one pool task");
+    assert_eq!(results, (0..10u64).map(Ok).collect::<Vec<_>>(), "items kept in order");
+    assert_eq!(exec.stats().total_executed(), before + 1, "all items in one pool task");
 }

@@ -46,9 +46,17 @@ fn all_jobs_execute_across_multiple_workers() {
 fn panicking_jobs_do_not_kill_workers() {
     let pool = WorkStealingPool::new(2);
     // More panics than workers: if a panic killed a worker the pool would
-    // deadlock on the follow-up batch.
+    // deadlock on the follow-up batch. Each panicking job reports that it
+    // started, because workers pop their local deques LIFO: the panics
+    // may run after every follow-up job has replied, and the executed
+    // count is only complete once they have.
+    let (started_tx, started_rx) = crossbeam_channel::bounded(8);
     for _ in 0..8 {
-        pool.submit(|| panic!("induced task failure"));
+        let started_tx = started_tx.clone();
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            panic!("induced task failure")
+        });
     }
     let (tx, rx) = crossbeam_channel::bounded(100);
     for i in 0..100u32 {
@@ -59,6 +67,9 @@ fn panicking_jobs_do_not_kill_workers() {
         (0..100).map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap()).collect();
     got.sort_unstable();
     assert_eq!(got, (0..100).collect::<Vec<_>>());
+    for _ in 0..8 {
+        started_rx.recv_timeout(Duration::from_secs(30)).expect("panicking job ran");
+    }
     assert!(pool.stats().total_executed() >= 108, "panicked jobs still count as executed");
 }
 

@@ -13,54 +13,12 @@ SEED="${2:-42}"
 
 cd "$(dirname "$0")/.."
 
-echo "== repro smoke: no second scheduler =="
-# One scheduler everywhere: a rayon dependency or import reappearing would
-# split stages off the runtime metrics surface.
-if grep -rn --include='Cargo.toml' --exclude-dir=target 'rayon' . ||
-    grep -rn --exclude-dir=target 'use rayon' crates src tests examples; then
-    echo "repro smoke FAILED: rayon reappeared in the workspace" >&2
-    exit 1
-fi
-
-echo "== repro smoke: consumers stay backend-agnostic =="
-# The registry redesign's invariant: core and eval program against the
-# VectorStore trait + IndexSpec only. A concrete FlatIndex import coming
-# back would re-pin the hot path to one backend.
-if grep -rn 'FlatIndex' crates/core/src crates/eval/src; then
-    echo "repro smoke FAILED: FlatIndex leaked back into core/eval" >&2
-    exit 1
-fi
-# Same invariant for the model layer: core and eval see only the
-# ModelEndpoint trait and its role adapters. A concrete simulator type
-# reappearing would re-pin the whole call choreography to one backend.
-if grep -rn 'TeacherModel\|JudgeModel\|MathClassifier\|ResolvedModel' crates/core/src crates/eval/src; then
-    echo "repro smoke FAILED: a concrete model type leaked back into core/eval" >&2
-    exit 1
-fi
-# The serving redesign's invariant: eval retrieval goes through the
-# QueryService envelope, never straight into a store's search_batch. A
-# direct store search reappearing in eval would fork the query path the
-# serving layer unified.
-if grep -rnE '(expect_store|\.store)\([^)]*\)[[:space:]]*\.[[:space:]]*search_batch' crates/eval/src; then
-    echo "repro smoke FAILED: eval bypasses the query service with a direct search_batch" >&2
-    exit 1
-fi
-# Same invariant for the lexical channel: eval reaches BM25 only through
-# QueryMode on the request envelope, never by touching the registry's
-# lexical siblings directly.
-if grep -rn 'LexicalIndex\|expect_lexical\|lexical_sibling\|\.lexical(' crates/eval/src; then
-    echo "repro smoke FAILED: eval reaches the lexical index outside the query service" >&2
-    exit 1
-fi
-
-echo "== repro smoke: one k-means trainer =="
-# Coarse-quantiser training lives in crates/index/src/kmeans.rs (k-means++
-# seeding shared by IVF and PQ). The old ad-hoc permutation seeding
-# reappearing in ivf.rs would fork the trainers again.
-if grep -n 'permutation' crates/index/src/ivf.rs; then
-    echo "repro smoke FAILED: ivf.rs regained an ad-hoc seeding path (permutation)" >&2
-    exit 1
-fi
+echo "== repro smoke: source guards =="
+# The static grep guards (one scheduler, backend-agnostic consumers, one
+# k-means trainer, served retrieval, panel-cache scans, one ingest
+# planner, structural registry clone) live in one script the CI lint job
+# runs too.
+scripts/guards.sh
 
 echo "== repro smoke: scale=${SCALE} seed=${SEED} =="
 ALL_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- all --scale "${SCALE}" --seed "${SEED}")"
@@ -233,14 +191,6 @@ for mode in baseline batched; do
 done
 
 echo "== repro smoke: panel cache + single-request fast path =="
-# The batch-of-1 invariant: every index backend scans through the
-# cache-aware accessor (EmbeddingMatrix::for_each_panel). The raw
-# streaming iterator reappearing under crates/index would fork the scan
-# path the resident panel cache unified.
-if grep -rn 'for_each_block(' crates/index/src; then
-    echo "repro smoke FAILED: crates/index bypasses the panel cache (for_each_block)" >&2
-    exit 1
-fi
 # Every percentile line reports the fast-path observable, and the run
 # reports the cache's resident footprint against its budget.
 if ! grep -F '[serve] mode=' <<<"${SERVE_OUT}" | grep -qE 'fast_path_hits=[0-9]+'; then
@@ -292,20 +242,6 @@ for mode in dense hybrid; do
         fi
     done
 done
-
-echo "== repro smoke: one ingest planner =="
-# The incremental-ingest invariant: the cold build and the incremental
-# re-run flow through the same planner (`run_planned`), so there is
-# exactly one generation call site for the single bookkeeping path to
-# guard. A second call site reappearing means a fork of the plan logic.
-if [[ "$(grep -c 'generate_question_batch' crates/core/src/pipeline.rs)" != "1" ]]; then
-    echo "repro smoke FAILED: pipeline.rs must call generate_question_batch exactly once (cold and incremental share the planner)" >&2
-    exit 1
-fi
-if ! grep -q 'fn run_planned' crates/core/src/pipeline.rs; then
-    echo "repro smoke FAILED: pipeline.rs lost the shared ingest planner (run_planned)" >&2
-    exit 1
-fi
 
 echo "== repro smoke: incremental ingest (no-op edit batch) =="
 # An unchanged corpus must re-run nothing: every document skipped, zero
